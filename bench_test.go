@@ -15,10 +15,11 @@ import (
 
 	"cellbricks/internal/billing"
 	"cellbricks/internal/epc"
+	"cellbricks/internal/mobility"
 	"cellbricks/internal/pki"
 	"cellbricks/internal/qos"
 	"cellbricks/internal/testbed"
-	"cellbricks/internal/mobility"
+	"cellbricks/internal/ue"
 )
 
 // BenchmarkFig7AttachLatency regenerates Fig. 7: per-module attachment
@@ -132,7 +133,9 @@ func formatMbps(bps float64) string {
 
 // BenchmarkSAPAttachLocal measures a full SAP attach (UE -> AGW -> broker
 // -> back) through the real protocol objects with no simulated latency:
-// the pure protocol + crypto cost per attachment.
+// the pure protocol + crypto cost per attachment. Each iteration uses a
+// fresh device over the same SIM state, as Fig. 7 does, so no attach
+// holds a resume ticket.
 func BenchmarkSAPAttachLocal(b *testing.B) {
 	d, err := testbed.NewRealDeployment()
 	if err != nil {
@@ -145,12 +148,41 @@ func BenchmarkSAPAttachLocal(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		fresh := ue.NewDevice(dev.RANID, nil, dev.CB)
+		if _, err := fresh.AttachSAP(tx, d.TelcoID()); err != nil {
+			b.Fatal(err)
+		}
+		if err := fresh.Detach(tx); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSAPResumeLocal is BenchmarkSAPAttachLocal on the resumption
+// fast path: one device re-attaches, so after the first (untimed) full
+// handshake every attach resumes under the previous grant.
+func BenchmarkSAPResumeLocal(b *testing.B) {
+	d, err := testbed.NewRealDeployment()
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer d.Close()
+	dev, tx, err := d.NewCellBricksUE()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cycle := func() {
 		if _, err := dev.AttachSAP(tx, d.TelcoID()); err != nil {
 			b.Fatal(err)
 		}
 		if err := dev.Detach(tx); err != nil {
 			b.Fatal(err)
 		}
+	}
+	cycle()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
 	}
 }
 

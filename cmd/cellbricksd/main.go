@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"sync"
 	"time"
 
 	"cellbricks/internal/broker"
@@ -150,9 +151,11 @@ func runBTelco(listen, brokerAddr, telcoID string) {
 		IDT: telcoID, Key: key, Cert: cert,
 		Terms: sap.ServiceTerms{Cap: qos.DefaultCapability(), PricePerGB: 2.0},
 	}
+	brokers := &dialDirectory{brokerAddr: brokerAddr}
+	defer brokers.Close()
 	agw := epc.NewAGW(epc.AGWConfig{
 		Telco:   telco,
-		Brokers: dialDirectory{brokerAddr: brokerAddr},
+		Brokers: brokers,
 	})
 	srv, err := epc.ServeNAS(agw, listen)
 	if err != nil {
@@ -163,19 +166,42 @@ func runBTelco(listen, brokerAddr, telcoID string) {
 	waitForInterrupt()
 }
 
-// dialDirectory resolves any broker ID to the configured brokerd address
-// (the demo trusts the demo broker key).
-type dialDirectory struct{ brokerAddr string }
+// dialDirectory resolves the demo broker ID to one client for the
+// configured brokerd address (the demo trusts the demo broker key). The
+// client is dialled on first use, so a bTelco may start before its
+// broker, and then shared: calls serialize on it and it redials after a
+// broken connection.
+type dialDirectory struct {
+	brokerAddr string
 
-func (d dialDirectory) Lookup(idB string) (epc.BrokerClient, pki.PublicIdentity, error) {
+	mu  sync.Mutex
+	c   *broker.Client
+	pub pki.PublicIdentity
+}
+
+func (d *dialDirectory) Lookup(idB string) (epc.BrokerClient, pki.PublicIdentity, error) {
 	if idB != demoBrokerID {
 		return nil, pki.PublicIdentity{}, fmt.Errorf("unknown broker %q", idB)
 	}
-	c, err := broker.DialClient(d.brokerAddr)
-	if err != nil {
-		return nil, pki.PublicIdentity{}, err
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.c == nil {
+		c, err := broker.DialClient(d.brokerAddr)
+		if err != nil {
+			return nil, pki.PublicIdentity{}, err
+		}
+		d.c, d.pub = c, demoBrokerKey().Public()
 	}
-	return c, demoBrokerKey().Public(), nil
+	return d.c, d.pub, nil
+}
+
+// Close closes the broker client, if one was dialled.
+func (d *dialDirectory) Close() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.c != nil {
+		d.c.Close()
+	}
 }
 
 func runUE(btelcoAddr, telcoID string) {

@@ -265,6 +265,10 @@ func (b *Brokerd) handleAuthCore(req *sap.AuthReqT) (*sap.AuthResp, error) {
 	// Piggyback the requester's current reputation on every reply —
 	// grant or denial — so scores propagate into SAP offers.
 	resp.TelcoScore = b.TelcoScore(req.IDT)
+	if !resp.Granted {
+		mtr.attachDenied.Add(1)
+		return resp, nil
+	}
 	mtr.attachGranted.Add(1)
 	if rec != nil {
 		b.mu.Lock()

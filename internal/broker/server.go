@@ -74,6 +74,20 @@ func (s *Server) handle(sc obs.SpanContext, msgType byte, payload []byte) (byte,
 			return 0, nil, err
 		}
 		return wire.TypeSAPAuthResponse, resp.Marshal(), nil
+	case wire.TypeSAPResumeRequest:
+		req, err := sap.UnmarshalResumeReq(payload)
+		if err != nil {
+			return 0, nil, err
+		}
+		var resp *sap.ResumeResp
+		if err := s.span(sc, "handle-resume", func() error {
+			var e error
+			resp, e = s.B.HandleResume(req)
+			return e
+		}); err != nil {
+			return 0, nil, err
+		}
+		return wire.TypeSAPResumeResponse, resp.Marshal(), nil
 	case wire.TypeReportUpload:
 		env, err := billing.UnmarshalSealedReport(payload)
 		if err != nil {
@@ -117,6 +131,21 @@ func (c *Client) AuthenticateCtx(sc obs.SpanContext, req *sap.AuthReqT) (*sap.Au
 		return nil, err
 	}
 	return sap.UnmarshalAuthResp(reply)
+}
+
+// Resume implements the SAP fast-path round trip (epc.BrokerClient).
+func (c *Client) Resume(req *sap.ResumeReq) (*sap.ResumeResp, error) {
+	return c.ResumeCtx(obs.SpanContext{}, req)
+}
+
+// ResumeCtx is Resume with a span context propagated in the frame header
+// (implements epc.BrokerResumeCtx).
+func (c *Client) ResumeCtx(sc obs.SpanContext, req *sap.ResumeReq) (*sap.ResumeResp, error) {
+	_, reply, err := c.C.CallCtx(wire.TypeSAPResumeRequest, sc, req.Marshal())
+	if err != nil {
+		return nil, err
+	}
+	return sap.UnmarshalResumeResp(reply)
 }
 
 // UploadReport delivers one sealed traffic report.

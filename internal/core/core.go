@@ -188,6 +188,10 @@ func (c brokerClient) Authenticate(req *sap.AuthReqT) (*sap.AuthResp, error) {
 	return c.d.HandleAuthRequest(req)
 }
 
+func (c brokerClient) Resume(req *sap.ResumeReq) (*sap.ResumeResp, error) {
+	return c.d.HandleResume(req)
+}
+
 // Attach runs the full SAP attach of a subscriber through a bTelco and
 // returns the attachment.
 func (s *Subscriber) Attach(t *BTelco) (*ue.Attachment, error) {

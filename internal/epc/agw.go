@@ -25,9 +25,10 @@ type SubscriberClient interface {
 }
 
 // BrokerClient is the AGW's CellBricks northbound: the single SAP round
-// trip to the user's broker.
+// trip to the user's broker, full handshake or resumption fast path.
 type BrokerClient interface {
 	Authenticate(req *sap.AuthReqT) (*sap.AuthResp, error)
+	Resume(req *sap.ResumeReq) (*sap.ResumeResp, error)
 }
 
 // BrokerClientCtx is an optional extension of BrokerClient: clients that
@@ -35,6 +36,11 @@ type BrokerClient interface {
 // the causal trace (over the wire, the context rides in the frame header).
 type BrokerClientCtx interface {
 	AuthenticateCtx(sc obs.SpanContext, req *sap.AuthReqT) (*sap.AuthResp, error)
+}
+
+// BrokerResumeCtx is BrokerClientCtx for the resumption round trip.
+type BrokerResumeCtx interface {
+	ResumeCtx(sc obs.SpanContext, req *sap.ResumeReq) (*sap.ResumeResp, error)
 }
 
 // BrokerDirectory resolves a broker identifier (from the UE's authReqU) to
@@ -144,11 +150,31 @@ type AGW struct {
 	byRAN    map[string]*Session
 	nextSID  uint64
 
+	// Grants a UE may resume here, keyed by session reference. Each entry
+	// is single-use (taken by the AttachResume that names it); the ring
+	// holds insertion order so the oldest entry is evicted at the bound.
+	resumable  map[string]resumable
+	resumeRing []string
+	resumeNext int
+
 	// Cumulative counters for orchestrator heartbeats.
 	attaches       uint64
 	attachFailures uint64
 	retiredUL      uint64
 	retiredDL      uint64
+}
+
+// maxResumable bounds the AGW's table of resumable grants.
+const maxResumable = 1 << 14
+
+// resumable is what the serving bTelco keeps of a grant so the UE can
+// resume it: the session secret, the broker that issued it and the
+// original grant's lawful-intercept flag (a resumed grant pins the
+// original terms, and the resume response does not repeat the flag).
+type resumable struct {
+	ss  nas.MasterKey
+	idB string
+	li  bool
 }
 
 // NewAGW builds an access gateway.
@@ -160,12 +186,36 @@ func NewAGW(cfg AGWConfig) *AGW {
 		cfg.IPPrefix = "10.45"
 	}
 	return &AGW{
-		cfg:      cfg,
-		ipam:     NewIPAllocator(cfg.IPPrefix),
-		up:       NewUserPlane(),
-		sessions: make(map[uint64]*Session),
-		byRAN:    make(map[string]*Session),
+		cfg:       cfg,
+		ipam:      NewIPAllocator(cfg.IPPrefix),
+		up:        NewUserPlane(),
+		sessions:  make(map[uint64]*Session),
+		byRAN:     make(map[string]*Session),
+		resumable: make(map[string]resumable),
 	}
+}
+
+// shelveResumable records a granted session so the UE can resume it.
+func (g *AGW) shelveResumable(uref string, r resumable) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if len(g.resumeRing) < maxResumable {
+		g.resumeRing = append(g.resumeRing, uref)
+	} else {
+		delete(g.resumable, g.resumeRing[g.resumeNext])
+		g.resumeRing[g.resumeNext] = uref
+		g.resumeNext = (g.resumeNext + 1) % maxResumable
+	}
+	g.resumable[uref] = r
+}
+
+// takeResumable removes and returns the resumable grant under uref.
+func (g *AGW) takeResumable(uref string) (resumable, bool) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	r, ok := g.resumable[uref]
+	delete(g.resumable, uref)
+	return r, ok
 }
 
 // UserPlane exposes the gateway's user plane.
@@ -255,6 +305,8 @@ func (g *AGW) HandleNAS(ranID string, envelope []byte) ([]byte, error) {
 		return g.handleSMCComplete(sess)
 	case *nas.AttachRequestSAP:
 		return g.handleSAPAttach(ranID, m, sc)
+	case *nas.AttachResume:
+		return g.handleSAPResume(ranID, m, sc)
 	case *nas.SessionRequest:
 		if !protected {
 			return nil, ErrProtectedRequired
@@ -396,43 +448,63 @@ func (g *AGW) handleSMCComplete(sess *Session) ([]byte, error) {
 
 // --- CellBricks SAP attach: one broker round trip ---
 
+// attachTrace records the spans of one SAP attach: an overall epc/attach
+// span parented to the UE's request and a child span per step. Every
+// method is a no-op when the envelope carried no span context or this
+// AGW has no tracer.
+type attachTrace struct {
+	tr    *obs.Tracer
+	ids   *obs.SpanIDSource
+	ctx   obs.SpanContext // the epc/attach span; zero when untraced
+	start time.Duration
+}
+
+func (g *AGW) traceAttach(sc obs.SpanContext) *attachTrace {
+	t := &attachTrace{tr: g.cfg.Tracer, ids: g.cfg.TraceIDs}
+	if sc.Valid() && t.tr != nil && t.ids != nil {
+		t.ctx = sc.Child(t.ids.Next())
+		t.start = t.tr.Now()
+	}
+	return t
+}
+
+func (t *attachTrace) traced() bool { return t.ctx.Valid() }
+
+// step runs f, recording it as a child span of the attach.
+func (t *attachTrace) step(cat, name string, f func() error) error {
+	if !t.traced() {
+		return f()
+	}
+	start := t.tr.Now()
+	err := f()
+	args := map[string]string(nil)
+	if err != nil {
+		args = map[string]string{"error": err.Error()}
+	}
+	t.tr.SpanCtx(t.ctx.Child(t.ids.Next()), cat, name, start, t.tr.Now()-start, args)
+	return err
+}
+
+// end records the overall epc/attach span.
+func (t *attachTrace) end(ranID, idB string) {
+	if t.traced() {
+		t.tr.SpanCtx(t.ctx, "epc", "attach", t.start, t.tr.Now()-t.start,
+			map[string]string{"ran": ranID, "broker": idB})
+	}
+}
+
 func (g *AGW) handleSAPAttach(ranID string, m *nas.AttachRequestSAP, sc obs.SpanContext) ([]byte, error) {
 	if g.cfg.Telco == nil || g.cfg.Brokers == nil {
 		return nil, ErrFlowDisabled
 	}
-	// When the envelope carried a span context and this AGW has a tracer,
-	// each SAP step below records a child span under an overall epc/attach
-	// span parented to the UE's request. step is a no-op when untraced.
-	tr, ids := g.cfg.Tracer, g.cfg.TraceIDs
-	traced := sc.Valid() && tr != nil && ids != nil
-	var epcCtx obs.SpanContext
-	if traced {
-		epcCtx = sc.Child(ids.Next())
-		epcStart := tr.Now()
-		defer func() {
-			tr.SpanCtx(epcCtx, "epc", "attach", epcStart, tr.Now()-epcStart,
-				map[string]string{"ran": ranID, "broker": m.BrokerID})
-		}()
-	}
-	step := func(cat, name string, f func() error) error {
-		if !traced {
-			return f()
-		}
-		start := tr.Now()
-		err := f()
-		args := map[string]string(nil)
-		if err != nil {
-			args = map[string]string{"error": err.Error()}
-		}
-		tr.SpanCtx(epcCtx.Child(ids.Next()), cat, name, start, tr.Now()-start, args)
-		return err
-	}
+	t := g.traceAttach(sc)
+	defer t.end(ranID, m.BrokerID)
 	reqU, err := sap.UnmarshalAuthReqU(m.AuthReqU)
 	if err != nil {
 		return nil, err
 	}
 	var reqT *sap.AuthReqT
-	if err := step("sap", "forward-request", func() error {
+	if err := t.step("sap", "forward-request", func() error {
 		return g.cfg.Instrument(ModuleAGW, func() error {
 			var e error
 			reqT, e = g.cfg.Telco.ForwardRequest(reqU)
@@ -446,11 +518,11 @@ func (g *AGW) handleSAPAttach(ranID string, m *nas.AttachRequestSAP, sc obs.Span
 		return g.reject("unknown broker: " + m.BrokerID), nil
 	}
 	var resp *sap.AuthResp
-	if err := step("broker", "authenticate", func() error {
+	if err := t.step("broker", "authenticate", func() error {
 		return g.cfg.Instrument(ModuleBrokerd, func() error {
 			var e error
-			if cc, ok := client.(BrokerClientCtx); ok && traced {
-				resp, e = cc.AuthenticateCtx(epcCtx, reqT)
+			if cc, ok := client.(BrokerClientCtx); ok && t.traced() {
+				resp, e = cc.AuthenticateCtx(t.ctx, reqT)
 			} else {
 				resp, e = client.Authenticate(reqT)
 			}
@@ -461,7 +533,7 @@ func (g *AGW) handleSAPAttach(ranID string, m *nas.AttachRequestSAP, sc obs.Span
 	}
 	var grant *sap.Grant
 	var respU *sap.AuthRespU
-	if err := step("sap", "handle-response", func() error {
+	if err := t.step("sap", "handle-response", func() error {
 		return g.cfg.Instrument(ModuleAGW, func() error {
 			var e error
 			grant, respU, e = g.cfg.Telco.HandleResponse(brokerPub, resp)
@@ -470,7 +542,80 @@ func (g *AGW) handleSAPAttach(ranID string, m *nas.AttachRequestSAP, sc obs.Span
 	}); err != nil {
 		return g.reject(err.Error()), nil
 	}
+	// The accept carries authRespU; it cannot be protected before the UE
+	// has validated the response and installed ss, so it rides plain —
+	// its payload is broker-signed and sealed to the UE.
+	return g.activateSAP(t, ranID, m.BrokerID, grant, brokerPub, respU.Marshal())
+}
 
+// handleSAPResume serves the resumption fast path (sap/resume.go): the
+// bTelco checks the UE's MAC under the grant it shelved, co-signs, and
+// forwards to the issuing broker, whose confirmation both sides check
+// before the successor session activates. Every refusal is a plain
+// AttachReject, on which the UE falls back to the full handshake; a
+// broker's retry-after shed leaves the grant resumable.
+func (g *AGW) handleSAPResume(ranID string, m *nas.AttachResume, sc obs.SpanContext) ([]byte, error) {
+	if g.cfg.Telco == nil || g.cfg.Brokers == nil {
+		return nil, ErrFlowDisabled
+	}
+	t := g.traceAttach(sc)
+	defer t.end(ranID, m.BrokerID)
+	req, err := sap.UnmarshalResumeReq(m.ResumeReq)
+	if err != nil {
+		return nil, err
+	}
+	r, ok := g.takeResumable(req.URef)
+	if !ok {
+		return g.reject("unknown session reference"), nil
+	}
+	if err := t.step("sap", "forward-resume", func() error {
+		return g.cfg.Instrument(ModuleAGW, func() error {
+			return g.cfg.Telco.ForwardResume(req, r.ss)
+		})
+	}); err != nil {
+		return g.reject(err.Error()), nil
+	}
+	client, brokerPub, err := g.cfg.Brokers.Lookup(r.idB)
+	if err != nil {
+		return g.reject("unknown broker: " + r.idB), nil
+	}
+	var resp *sap.ResumeResp
+	if err := t.step("broker", "resume", func() error {
+		return g.cfg.Instrument(ModuleBrokerd, func() error {
+			var e error
+			if cc, ok := client.(BrokerResumeCtx); ok && t.traced() {
+				resp, e = cc.ResumeCtx(t.ctx, req)
+			} else {
+				resp, e = client.Resume(req)
+			}
+			return e
+		})
+	}); err != nil {
+		var ra *wire.RetryAfterError
+		if errors.As(err, &ra) {
+			g.shelveResumable(req.URef, r)
+		}
+		return g.rejectErr(err), nil
+	}
+	var grant *sap.Grant
+	if err := t.step("sap", "accept-resume", func() error {
+		return g.cfg.Instrument(ModuleAGW, func() error {
+			var e error
+			grant, e = g.cfg.Telco.AcceptResume(req, resp, r.ss)
+			return e
+		})
+	}); err != nil {
+		return g.reject(err.Error()), nil
+	}
+	grant.LI = r.li
+	// The response carries only confirmation MACs, nothing secret.
+	return g.activateSAP(t, ranID, r.idB, grant, brokerPub, resp.Marshal())
+}
+
+// activateSAP opens the session for a granted SAP attach, full or
+// resumed, shelves the grant for the UE's next resume, and returns the
+// plain AttachAccept carrying the broker's answer for the UE.
+func (g *AGW) activateSAP(t *attachTrace, ranID, idB string, grant *sap.Grant, brokerPub pki.PublicIdentity, brokerResp []byte) ([]byte, error) {
 	g.mu.Lock()
 	g.nextSID++
 	sess := &Session{
@@ -478,7 +623,7 @@ func (g *AGW) handleSAPAttach(ranID string, m *nas.AttachRequestSAP, sc obs.Span
 		Kind:      KindSAP,
 		RANID:     ranID,
 		URef:      grant.URef,
-		IDB:       m.BrokerID,
+		IDB:       idB,
 		grant:     grant,
 		brokerPub: brokerPub,
 	}
@@ -490,25 +635,23 @@ func (g *AGW) handleSAPAttach(ranID string, m *nas.AttachRequestSAP, sc obs.Span
 	// derivation); the SMC exchange itself is folded into attach accept in
 	// SAP since both sides already hold ss.
 	var accept *nas.AttachAccept
-	if err := step("epc", "activate", func() error {
+	if err := t.step("epc", "activate", func() error {
 		g.cfg.Instrument(ModuleAGW, func() error {
 			sess.Ctx = nas.NewSecurityContext(grant.SS)
 			return nil
 		})
 		var e error
-		accept, e = g.activate(sess, grant.Params, respU)
+		accept, e = g.activate(sess, grant.Params, brokerResp)
 		return e
 	}); err != nil {
 		return nil, err
 	}
-	// The accept itself carries authRespU; it cannot be protected before
-	// the UE has validated the response and installed ss, so it rides
-	// plain — its payload is broker-signed and sealed to the UE.
+	g.shelveResumable(grant.URef, resumable{ss: grant.SS, idB: idB, li: grant.LI})
 	return plain(accept), nil
 }
 
 // activate allocates the IP and bearer and builds the AttachAccept.
-func (g *AGW) activate(sess *Session, params qos.Params, respU *sap.AuthRespU) (*nas.AttachAccept, error) {
+func (g *AGW) activate(sess *Session, params qos.Params, brokerResp []byte) (*nas.AttachAccept, error) {
 	ip, err := g.ipam.Allocate()
 	if err != nil {
 		return nil, err
@@ -536,9 +679,7 @@ func (g *AGW) activate(sess *Session, params qos.Params, respU *sap.AuthRespU) (
 		DLAmbrBps: params.DLAmbrBps,
 		ULAmbrBps: params.ULAmbrBps,
 	}
-	if respU != nil {
-		accept.AuthRespU = respU.Marshal()
-	}
+	accept.AuthRespU = brokerResp
 	return accept, nil
 }
 

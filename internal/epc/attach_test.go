@@ -3,6 +3,7 @@ package epc
 import (
 	"bytes"
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"cellbricks/internal/billing"
 	"cellbricks/internal/broker"
 	"cellbricks/internal/nas"
+	"cellbricks/internal/obs"
 	"cellbricks/internal/pki"
 	"cellbricks/internal/qos"
 	"cellbricks/internal/sap"
@@ -34,6 +36,10 @@ type localBrokerClient struct{ b *broker.Brokerd }
 
 func (c localBrokerClient) Authenticate(req *sap.AuthReqT) (*sap.AuthResp, error) {
 	return c.b.HandleAuthRequest(req)
+}
+
+func (c localBrokerClient) Resume(req *sap.ResumeReq) (*sap.ResumeResp, error) {
+	return c.b.HandleResume(req)
 }
 
 type world struct {
@@ -515,5 +521,54 @@ func TestAGWRejectCounting(t *testing.T) {
 	stranger.AttachSAP(tx, "btelco-1") // denied: unknown user
 	if st := w.agw.Stats(); st.AttachFailures == 0 {
 		t.Fatalf("failure not counted: %+v", st)
+	}
+}
+
+func TestResumableTableBoundedAndSingleUse(t *testing.T) {
+	g := NewAGW(AGWConfig{})
+	ref := func(i int) string { return "uref-" + strconv.Itoa(i) }
+	for i := 0; i <= maxResumable; i++ {
+		g.shelveResumable(ref(i), resumable{idB: "b"})
+	}
+	if len(g.resumable) != maxResumable {
+		t.Fatalf("table holds %d entries, bound %d", len(g.resumable), maxResumable)
+	}
+	if _, ok := g.takeResumable(ref(0)); ok {
+		t.Fatal("oldest entry survived eviction")
+	}
+	if _, ok := g.takeResumable(ref(maxResumable)); !ok {
+		t.Fatal("newest entry missing")
+	}
+	if _, ok := g.takeResumable(ref(maxResumable)); ok {
+		t.Fatal("entry taken twice")
+	}
+}
+
+func TestSAPResumeInProcess(t *testing.T) {
+	w := buildWorld(t)
+	a1, err := w.dev.AttachSAP(w.tx, "btelco-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	uref1 := w.agw.Session(a1.SessionID).URef
+	if err := w.dev.Detach(w.tx); err != nil {
+		t.Fatal(err)
+	}
+	resumed := func() float64 { return obs.Default().Snapshot()["broker_resume_granted_total"] }
+	before := resumed()
+	a2, err := w.dev.AttachSAP(w.tx, "btelco-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := resumed() - before; got != 1 {
+		t.Fatalf("broker granted %v resumes, want 1", got)
+	}
+	sess := w.agw.Session(a2.SessionID)
+	if sess.URef == uref1 || w.brk.Grant(sess.URef) == nil {
+		t.Fatalf("resumed session %q has no broker grant distinct from %q", sess.URef, uref1)
+	}
+	// The resumed NAS context works end to end.
+	if err := w.dev.Detach(w.tx); err != nil {
+		t.Fatal(err)
 	}
 }

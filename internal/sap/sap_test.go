@@ -21,7 +21,7 @@ type fixture struct {
 	now    time.Time
 }
 
-func newFixture(t *testing.T) *fixture {
+func newFixture(t testing.TB) *fixture {
 	t.Helper()
 	now := time.Unix(1_750_000_000, 0)
 	ca, err := pki.NewCAFromSeed("root-ca", bytes.Repeat([]byte{77}, 32))
@@ -61,7 +61,7 @@ func newFixture(t *testing.T) *fixture {
 
 // runAttach executes the full SAP exchange, returning everything each
 // party derived.
-func (f *fixture) runAttach(t *testing.T) (ueSS, telcoSS [32]byte, grant *Grant, rec *GrantRecord) {
+func (f *fixture) runAttach(t testing.TB) (ueSS, telcoSS [32]byte, grant *Grant, rec *GrantRecord) {
 	t.Helper()
 	reqU, pending, err := f.ue.NewAttachRequest(f.telco.IDT)
 	if err != nil {

@@ -142,6 +142,12 @@ func (c instrumentedBroker) Authenticate(req *sap.AuthReqT) (*sap.AuthResp, erro
 	return resp, err
 }
 
+// Resume is uncharged: Fig. 7 attaches with a fresh device each time, so
+// it never resumes (TestFig7AndFailoverNeverResume).
+func (c instrumentedBroker) Resume(req *sap.ResumeReq) (*sap.ResumeResp, error) {
+	return c.b.HandleResume(req)
+}
+
 type benchDirectory struct{ c instrumentedBroker }
 
 func (d benchDirectory) Lookup(idB string) (epc.BrokerClient, pki.PublicIdentity, error) {

@@ -313,6 +313,15 @@ func (c foBrokerClient) Authenticate(req *sap.AuthReqT) (*sap.AuthResp, error) {
 	return c.w.brk.HandleAuthRequest(req)
 }
 
+// Resume serves the resumption round trip; failover attaches with a
+// fresh device each time, so it never resumes.
+func (c foBrokerClient) Resume(req *sap.ResumeReq) (*sap.ResumeResp, error) {
+	if !c.w.live || c.w.brk == nil {
+		return nil, errors.New("testbed: broker unreachable")
+	}
+	return c.w.brk.HandleResume(req)
+}
+
 // AuthenticateCtx implements epc.BrokerClientCtx: the broker hop joins the
 // attach trace with a broker/handle-auth span, mirroring what
 // broker.ServeTraced records in the real-socket deployment.

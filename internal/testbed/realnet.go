@@ -37,28 +37,27 @@ type RealDeployment struct {
 	Orc       *orc8r.Orchestrator
 	OrcSrv    *orc8r.Server
 	orcClient *orc8r.Client
+	// brokerClient is the one brokerd connection the AGW's SAP round
+	// trips and the report uploads share (calls serialize on it).
+	brokerClient *broker.Client
 
 	brokerKey *pki.KeyPair
 	telco     *sap.TelcoState
 	ranSeq    atomic.Uint64
 }
 
-// wireDirectory resolves broker IDs to wire clients.
+// wireDirectory resolves the deployment's broker ID to its wire client.
 type wireDirectory struct {
-	id   string
-	addr string
-	pub  pki.PublicIdentity
+	id  string
+	c   *broker.Client
+	pub pki.PublicIdentity
 }
 
 func (d wireDirectory) Lookup(idB string) (epc.BrokerClient, pki.PublicIdentity, error) {
 	if idB != d.id {
 		return nil, pki.PublicIdentity{}, fmt.Errorf("testbed: unknown broker %q", idB)
 	}
-	c, err := broker.DialClient(d.addr)
-	if err != nil {
-		return nil, pki.PublicIdentity{}, err
-	}
-	return c, d.pub, nil
+	return d.c, d.pub, nil
 }
 
 // NewRealDeployment starts all three servers on loopback.
@@ -108,13 +107,17 @@ func NewRealDeploymentTraced(tr *obs.Tracer, ids *obs.SpanIDSource) (*RealDeploy
 		d.Close()
 		return nil, err
 	}
+	if d.brokerClient, err = broker.DialClient(d.BrokerSrv.Addr()); err != nil {
+		d.Close()
+		return nil, err
+	}
 	d.AGW = epc.NewAGW(epc.AGWConfig{
 		Telco:       d.telco,
 		Subscribers: sdbClient,
 		Brokers: wireDirectory{
-			id:   d.Broker.ID(),
-			addr: d.BrokerSrv.Addr(),
-			pub:  d.Broker.Public(),
+			id:  d.Broker.ID(),
+			c:   d.brokerClient,
+			pub: d.Broker.Public(),
 		},
 		Tracer:   tr,
 		TraceIDs: ids,
@@ -156,10 +159,13 @@ func (d *RealDeployment) SendHeartbeat(at time.Duration) (orc8r.AGWConfigPush, e
 	})
 }
 
-// Close stops all servers.
+// Close stops all servers and closes the deployment's clients.
 func (d *RealDeployment) Close() {
 	if d.orcClient != nil {
 		d.orcClient.Close()
+	}
+	if d.brokerClient != nil {
+		d.brokerClient.Close()
 	}
 	if d.OrcSrv != nil {
 		d.OrcSrv.Close()
@@ -233,12 +239,7 @@ func (d *RealDeployment) UploadUEReport(dev *ue.Device, rel time.Duration) error
 	if err != nil {
 		return err
 	}
-	c, err := broker.DialClient(d.BrokerSrv.Addr())
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	return c.UploadReport(env)
+	return d.brokerClient.UploadReport(env)
 }
 
 // UploadTelcoReport sends the AGW-side report for a session.
@@ -247,10 +248,5 @@ func (d *RealDeployment) UploadTelcoReport(sessionID uint64, rel time.Duration) 
 	if err != nil {
 		return err
 	}
-	c, err := broker.DialClient(d.BrokerSrv.Addr())
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	return c.UploadReport(env)
+	return d.brokerClient.UploadReport(env)
 }

@@ -207,6 +207,10 @@ func (c retryBrokerClient) Authenticate(req *sap.AuthReqT) (*sap.AuthResp, error
 	return c.b.HandleAuthRequest(req)
 }
 
+func (c retryBrokerClient) Resume(req *sap.ResumeReq) (*sap.ResumeResp, error) {
+	return c.b.HandleResume(req)
+}
+
 func (d retryDirectory) Lookup(idB string) (epc.BrokerClient, pki.PublicIdentity, error) {
 	if idB != d.w.brk.ID() {
 		return nil, pki.PublicIdentity{}, fmt.Errorf("unknown broker %q", idB)

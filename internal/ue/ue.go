@@ -55,10 +55,11 @@ type Device struct {
 	// Meter is the baseband measurement function.
 	Meter *BasebandMeter
 
-	mu     sync.Mutex
-	ctx    *nas.SecurityContext
-	attach *Attachment
-	enc    []byte // NAS encode scratch (guarded by mu; Protect copies out)
+	mu      sync.Mutex
+	ctx     *nas.SecurityContext
+	attach  *Attachment
+	enc     []byte                        // NAS encode scratch (guarded by mu; Protect copies out)
+	tickets map[string]*sap.ResumeSession // resumable grant per bTelco ID
 
 	// Causal tracing (armed by TraceAttach; zero-valued = untraced, with
 	// byte-identical envelopes to the pre-tracing format).
@@ -220,16 +221,17 @@ func (d *Device) AttachLegacy(tx NASTransport) (*Attachment, error) {
 }
 
 // AttachSAP runs the CellBricks attach against bTelco idT: one exchange
-// with the network, whose reply carries the broker-sealed authRespU. The
-// shared secret ss then seeds the NAS context (the SMC exchange is
-// subsumed because both sides already hold ss).
+// with the network. When the device holds a resume ticket for idT (from
+// its last grant there), the exchange is the HMAC fast path of
+// sap/resume.go; otherwise, or when the network refuses the resume, it is
+// the full handshake, whose reply carries the broker-sealed authRespU.
+// Either way the session secret then seeds the NAS context (the SMC
+// exchange is subsumed because both sides already hold it) and the grant
+// becomes the ticket for the next attach to idT. A retry-after reject of
+// a resume keeps the ticket and returns the hint.
 func (d *Device) AttachSAP(tx NASTransport, idT string) (*Attachment, error) {
 	if d.CB == nil {
 		return nil, errors.New("ue: no CellBricks SIM state")
-	}
-	reqU, pending, err := d.CB.NewAttachRequest(idT)
-	if err != nil {
-		return nil, err
 	}
 	sc := d.attachSpanCtx()
 	start := d.tr.Now()
@@ -239,6 +241,20 @@ func (d *Device) AttachSAP(tx NASTransport, idT string) (*Attachment, error) {
 				map[string]string{"telco": idT})
 		}
 	}()
+	if tkt := d.takeTicket(idT); tkt != nil {
+		a, keep, err := d.resumeSAP(tx, tkt, sc)
+		if keep {
+			d.shelveTicket(tkt)
+		}
+		if err == nil || keep {
+			return a, err
+		}
+		// Denied, MAC failure or unknown reference: the ticket is dead.
+	}
+	reqU, pending, err := d.CB.NewAttachRequest(idT)
+	if err != nil {
+		return nil, err
+	}
 	reply, err := tx(plainEnvelopeCtx(&nas.AttachRequestSAP{BrokerID: d.CB.IDB, AuthReqU: reqU.Marshal()}, sc))
 	if err != nil {
 		return nil, err
@@ -259,13 +275,53 @@ func (d *Device) AttachSAP(tx NASTransport, idT string) (*Attachment, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ue: broker authentication: %w", err)
 	}
+	return d.installSAP(accept, &sap.ResumeSession{IDT: idT, URef: uref, SS: ss}, sc), nil
+}
+
+// resumeSAP runs the fast-path exchange for ticket tkt. keep reports
+// that the ticket is still good although the attach failed: the network
+// was unreachable or the broker shed load.
+func (d *Device) resumeSAP(tx NASTransport, tkt *sap.ResumeSession, sc obs.SpanContext) (a *Attachment, keep bool, err error) {
+	req, err := tkt.NewResumeRequest()
+	if err != nil {
+		return nil, false, err
+	}
+	reply, err := tx(plainEnvelopeCtx(&nas.AttachResume{BrokerID: d.CB.IDB, ResumeReq: req.Marshal()}, sc))
+	if err != nil {
+		return nil, true, err
+	}
+	msg, err := d.decodeReply(reply)
+	if err != nil {
+		return nil, false, err
+	}
+	accept, ok := msg.(*nas.AttachAccept)
+	if !ok {
+		err := rejectOr(msg)
+		var ra *wire.RetryAfterError
+		return nil, errors.As(err, &ra), err
+	}
+	resp, err := sap.UnmarshalResumeResp(accept.AuthRespU)
+	if err != nil {
+		return nil, false, err
+	}
+	next, _, err := tkt.HandleResumeResponse(req, resp)
+	if err != nil {
+		return nil, false, err
+	}
+	return d.installSAP(accept, next, sc), false, nil
+}
+
+// installSAP completes a granted SAP attach: the NAS context from the
+// grant's secret, the attachment, the meter's session binding, and the
+// ticket for the next attach to the same bTelco.
+func (d *Device) installSAP(accept *nas.AttachAccept, tkt *sap.ResumeSession, sc obs.SpanContext) *Attachment {
 	d.mu.Lock()
-	d.ctx = nas.NewSecurityContext(ss)
+	d.ctx = nas.NewSecurityContext(tkt.SS)
 	d.mu.Unlock()
 	a := d.install(accept)
 	if d.Meter != nil {
 		bindStart := d.tr.Now()
-		d.Meter.BindSession(uref)
+		d.Meter.BindSession(tkt.URef)
 		// No uref in the args: broker references come from crypto/rand, and
 		// trace output must be byte-identical across runs of one seed.
 		if sc.Valid() {
@@ -273,7 +329,27 @@ func (d *Device) AttachSAP(tx NASTransport, idT string) (*Attachment, error) {
 				bindStart, d.tr.Now()-bindStart, nil)
 		}
 	}
-	return a, nil
+	d.shelveTicket(tkt)
+	return a
+}
+
+// takeTicket removes and returns the resume ticket for bTelco idT.
+func (d *Device) takeTicket(idT string) *sap.ResumeSession {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	tkt := d.tickets[idT]
+	delete(d.tickets, idT)
+	return tkt
+}
+
+// shelveTicket stores tkt as the ticket for its bTelco.
+func (d *Device) shelveTicket(tkt *sap.ResumeSession) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.tickets == nil {
+		d.tickets = make(map[string]*sap.ResumeSession)
+	}
+	d.tickets[tkt.IDT] = tkt
 }
 
 func (d *Device) install(accept *nas.AttachAccept) *Attachment {

@@ -61,6 +61,12 @@ const (
 	// big-endian retry-after hint in milliseconds. Surfaced to callers as
 	// *RetryAfterError.
 	TypeRetryAfter
+
+	// bTelco/AGW -> brokerd SAP session resumption (the HMAC fast path
+	// for re-attaching under an existing grant). Appended after the
+	// original set so every pre-existing type byte keeps its value.
+	TypeSAPResumeRequest
+	TypeSAPResumeResponse
 )
 
 // FrameTraced is the type-byte bit marking a traced frame: a 24-byte
